@@ -30,7 +30,7 @@ def abstract_plan(links: LinkGraph, start_area: int, goal_area: int,
         adj.setdefault(a2, []).append(a1)
     if start_area not in adj or goal_area not in adj:
         raise UnsolvableError(f"unknown area in plan request ({start_area}, {goal_area})")
-    # distance-to-goal labels, then a greedy smallest-id descent
+    # distance-to-goal labels, then step to the smallest-id closer neighbour
     dist = {goal_area: 0}
     q = deque([goal_area])
     while q:

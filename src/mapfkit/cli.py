@@ -41,7 +41,7 @@ def load_problem(path: str) -> Problem:
 def config_from_args(args) -> RunConfig:
     return RunConfig(dx=args.dx, dy=args.dy, sensitivity=args.F,
                      free_threshold=args.nf, transport=args.transport,
-                     seed=args.seed, timeout=args.timeout)
+                     timeout=args.timeout)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -51,7 +51,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="horizon sensitivity")
     p.add_argument("--nf", type=int, default=_env("nf", int, 4),
                    help="crowding free-node threshold")
-    p.add_argument("--seed", type=int, default=_env("seed", int, 0))
     p.add_argument("--timeout", type=float, default=_env("timeout", float, 180.0))
     p.add_argument("--transport", choices=("inproc", "tcp"),
                    default=_env("transport", str, "inproc"))
@@ -283,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", action="append", default=[],
                    help="WxH:agents, repeatable")
     p.add_argument("--density", type=float, default=_env("density", float, 0.0))
+    p.add_argument("--seed", type=int, default=_env("seed", int, 0))
     _add_config_flags(p)
     p.set_defaults(func=cmd_bench)
 

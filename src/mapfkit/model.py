@@ -27,6 +27,10 @@ class ParseError(ValueError):
         self.line = line
 
 
+class SolveTimeout(RuntimeError):
+    """The solve's global deadline passed inside a search."""
+
+
 @dataclass(frozen=True)
 class Problem:
     """A grid MAPF problem: graph, agents, starts and (partial) goals.

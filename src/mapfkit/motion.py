@@ -3,8 +3,10 @@
 Conflict-based search bounded by a horizon: each agent gets a shortest
 constrained space-time path, and a constraint tree resolves vertex and swap
 conflicts pairwise.  While the search runs in shortest-first order the first
-conflict-free node has minimal plan length; congested instances fall back to
-order-dependent strategies that may return a longer plan.
+conflict-free node has minimal plan length; when it outgrows its node limit,
+a search over agent priority orders takes over and may return a longer plan.
+Both searches are bounded by node counts, so a plan depends only on the input;
+the wall clock is read only to honour the caller's global deadline.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from .model import SolveTimeout
 from .partition import Area
 
-
-class SolveTimeout(RuntimeError):
-    pass
+# Node limits of the two searches, so that a plan depends on the input alone.
+# On the Criterion-2 matrix a conflict-based search that succeeds expands at
+# most 356 nodes, and a priority search that succeeds pops at most 55.
+CBS_NODE_LIMIT = 512
+PRIORITY_NODE_LIMIT = 256
 
 
 @dataclass
@@ -81,9 +86,7 @@ def _distances(area: Area) -> dict[int, dict[int, int]]:
 
 
 def plan_movements(inst: AreaInstance, h_m: int,
-                   deadline: float | None = None,
-                   fast: bool = False,
-                   thorough: bool = False) -> MovementPlan | None:
+                   deadline: float | None = None) -> MovementPlan | None:
     """Find the shortest feasible local plan with length at most h_m.
 
     Constraints: moves follow area adjacency; one agent per in-node per step;
@@ -281,8 +284,9 @@ def plan_movements(inst: AreaInstance, h_m: int,
         return first, count
 
     # conflict-based search: replan one agent per tree node under an extra
-    # vertex or edge ban until the padded paths are conflict free.  Node cost
-    # is the longest path, so the first conflict-free node is a minimal T.
+    # vertex or edge ban; the search ends at the first node whose padded paths
+    # are conflict free.  Node cost is the longest path, so that node has a
+    # minimal T.
     import heapq
     empty = frozenset()
     base_v = {a: empty for a in agents}
@@ -295,27 +299,21 @@ def plan_movements(inst: AreaInstance, h_m: int,
         paths0[a] = got
     first0, count0 = first_conflict(paths0)
 
-    def run_tree(greedy: bool, budget: int | None,
-                 until: float | None = None) -> MovementPlan | str | None:
-        def key(cost, count):
-            return (count, cost) if greedy else (cost, count)
-
+    def run_tree() -> MovementPlan | str | None:
+        """The optimal search: a plan, "limit" when CBS_NODE_LIMIT nodes did
+        not settle it, or None when the exhausted tree proves no plan fits."""
         counter = 0
-        tree = [(*key(max(len(p) for p in paths0.values()) - 1, count0), 0,
+        tree = [(max(len(p) for p in paths0.values()) - 1, count0, 0,
                  paths0, base_v, base_e, first0)]
         expanded = 0
         while tree:
             expanded += 1
-            if expanded % 64 == 0:
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    raise SolveTimeout("movement planning deadline exceeded")
-                if until is not None and now > until:
-                    return "budget"
-            if budget is not None and expanded > budget:
-                return "budget"
-            k1, k2, _, paths, cons_v, cons_e, conflict = heapq.heappop(tree)
-            cost, count = (k2, k1) if greedy else (k1, k2)
+            if expanded > CBS_NODE_LIMIT:
+                return "limit"
+            if expanded % 64 == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise SolveTimeout("movement planning deadline exceeded")
+            cost, count, _, paths, cons_v, cons_e, conflict = heapq.heappop(tree)
             if conflict is None:
                 steps = {a: p + [p[-1]] * (cost + 1 - len(p))
                          for a, p in paths.items()}
@@ -346,7 +344,7 @@ def plan_movements(inst: AreaInstance, h_m: int,
             if bypass is not None:
                 ncost, ncount, np, nfirst = bypass
                 counter += 1
-                heapq.heappush(tree, (*key(ncost, ncount), counter, np,
+                heapq.heappush(tree, (ncost, ncount, counter, np,
                                       cons_v, cons_e, nfirst))
                 continue
             for agent, nv, ne, np, nfirst, ncount, ncost in children:
@@ -354,16 +352,16 @@ def plan_movements(inst: AreaInstance, h_m: int,
                 nce = dict(cons_e)
                 ncv[agent], nce[agent] = nv, ne
                 counter += 1
-                heapq.heappush(tree, (*key(ncost, ncount), counter,
+                heapq.heappush(tree, (ncost, ncount, counter,
                                       np, ncv, nce, nfirst))
         return None
 
-    def priority_search(until: float) -> MovementPlan | None:
+    def priority_search() -> MovementPlan | None:
         """Branch on pairwise agent priorities instead of single bans: on a
         conflict between two agents, try each one yielding to the other and
         replan the loser around everything ranked above it.  Scales much
         better than the optimal search on crowded instances, at the price
-        of possibly longer plans."""
+        of possibly longer plans.  Gives up after PRIORITY_NODE_LIMIT pops."""
 
         def above(pri: dict[int, frozenset], a: int) -> set[int]:
             out: set[int] = set()
@@ -387,12 +385,13 @@ def plan_movements(inst: AreaInstance, h_m: int,
             return frozenset(cv), frozenset(ce)
 
         stack = [({a: frozenset() for a in agents}, paths0, first0)]
+        popped = 0
         while stack:
-            now = time.monotonic()
-            if deadline is not None and now > deadline:
-                raise SolveTimeout("movement planning deadline exceeded")
-            if now > until:
+            popped += 1
+            if popped > PRIORITY_NODE_LIMIT:
                 return None
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolveTimeout("movement planning deadline exceeded")
             pri, paths, conflict = stack.pop()
             if conflict is None:
                 cost = max(len(p) for p in paths.values()) - 1
@@ -423,30 +422,13 @@ def plan_movements(inst: AreaInstance, h_m: int,
                 stack.append((npri, np, nfirst))
         return None
 
-    # minimal-length order first; if the optimality proof outgrows the
-    # budget, fall back to a search over agent priority orders, then to a
-    # bounded search steered by conflict count.  The fallbacks stay sound
-    # but may overshoot the minimal length; exhausting them reports failure
-    # so the caller can relax migration goals instead.
-    if thorough:
-        got = priority_search(time.monotonic() + 20.0)
-        if got is None:
-            got = run_tree(greedy=True, budget=None,
-                           until=time.monotonic() + 15.0)
-            got = None if got == "budget" else got
-        return got
-    budget = max(2000, 200 * len(agents))
-    slices = (0.75, 2.0, 1.5) if fast else (2.0, 6.0, 6.0)
-    opt_slice, pri_slice, greedy_slice = slices
-    got = run_tree(greedy=False, budget=budget,
-                   until=time.monotonic() + opt_slice)
-    if got == "budget":
-        got = priority_search(time.monotonic() + pri_slice)
-        if got is None:
-            got = run_tree(greedy=True, budget=None,
-                           until=time.monotonic() + greedy_slice)
-            if got == "budget":
-                got = None
+    # minimal-length order first; if the optimality proof outgrows its node
+    # limit, fall back to a search over agent priority orders.  The fallback
+    # stays sound but may overshoot the minimal length; exhausting it reports
+    # failure so the caller can relax migration goals instead.
+    got = run_tree()
+    if got == "limit":
+        got = priority_search()
     return got
 
 
@@ -497,19 +479,17 @@ def check_plan(inst: AreaInstance, plan: MovementPlan) -> list[str]:
 def relax_and_retry(inst: AreaInstance, h_m: int, deadline: float | None = None
                     ) -> tuple[MovementPlan | None, list[int]]:
     """Strip migration goals one agent at a time (farthest from its border
-    first) until a plan exists.  Returns (plan or None, stripped agents)."""
+    first) while no plan exists.  Returns (plan or None, stripped agents)."""
     coords = dict(inst.area.in_nodes)
     coords.update(inst.area.out_nodes)
     stripped: list[int] = []
     while True:
-        plan = plan_movements(inst, h_m, deadline, fast=bool(stripped))
+        plan = plan_movements(inst, h_m, deadline)
         if plan is not None:
             return plan, stripped
         candidates = [a for a in inst.outgoing if a in inst.plan_goals]
         if not candidates:
-            # nothing left to strip: one exhaustive search bounded only by
-            # the overall deadline before declaring the round unsolvable
-            return plan_movements(inst, h_m, deadline, thorough=True), stripped
+            return None, stripped
         def far(a):
             ax, ay = coords[inst.all_agents()[a]]
             bx, by = coords[inst.outgoing[a]]

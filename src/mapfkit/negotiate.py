@@ -7,9 +7,10 @@ live in the other area and enter the host.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from .model import Coord
+from .model import Coord, SolveTimeout
 
 
 @dataclass
@@ -122,13 +123,15 @@ def assign_borders(admitted: list[MigrationCandidate],
                    coords: dict[int, Coord],
                    limit: int,
                    host_blocked: BlockedBorders | None = None,
-                   other_blocked: BlockedBorders | None = None
+                   other_blocked: BlockedBorders | None = None,
+                   deadline: float | None = None
                    ) -> list[BorderAssignment] | None:
     """Minimum-total-distance assignment of exactly `limit` candidates to
     unblocked border pairs; every mandatory candidate must be assigned.
 
     Distinct from-borders, distinct to-borders, no opposite-direction use of
     one border pair.  None signals infeasibility (the pair retries next round).
+    Raises SolveTimeout once `deadline` (time.monotonic) has passed.
     """
     host_blocked = host_blocked or BlockedBorders.empty()
     other_blocked = other_blocked or BlockedBorders.empty()
@@ -154,6 +157,7 @@ def assign_borders(admitted: list[MigrationCandidate],
 
     best: list[tuple[int, int, int, int, bool]] | None = None
     best_cost: int | None = None
+    calls = 0
 
     # suffix data for lower-bound pruning: mandatory candidates sort first,
     # optional tails contribute their cheapest options in ascending order
@@ -176,7 +180,10 @@ def assign_borders(admitted: list[MigrationCandidate],
     def search(idx: int, chosen: list, cost: int,
                used_from: set[int], used_to: set[int],
                used_pair: dict[frozenset, bool]):
-        nonlocal best, best_cost
+        nonlocal best, best_cost, calls
+        calls += 1
+        if calls % 64 == 0 and deadline is not None and time.monotonic() > deadline:
+            raise SolveTimeout("border assignment deadline exceeded")
         need = limit - len(chosen)
         if need < 0 or mand_cnt[idx] > need or need > n - idx:
             return

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+import traceback
+from dataclasses import asdict, dataclass, field
 
 from . import negotiate as ng
 from .abstractplan import UnsolvableError, abstract_plan
-from .model import GlobalSolution, Problem, validate
-from .motion import (AreaInstance, MovementPlan, SolveTimeout, check_plan,
-                     crowding_guard, horizon, relax_and_retry)
+from .model import GlobalSolution, Problem, SolveTimeout, validate
+from .motion import (AreaInstance, MovementPlan, check_plan, crowding_guard,
+                     horizon, relax_and_retry)
 from .partition import LinkGraph, Subproblem, assign_agents, divide
 from .transport import (AbortSignal, Endpoint, InprocBus, Trace,
                         TransportTimeout, make_frame)
@@ -26,18 +27,11 @@ class RunConfig:
     sensitivity: float = 2.0       # horizon factor F
     free_threshold: int = 4        # crowding guard n_f
     transport: str = "inproc"
-    seed: int = 0
     timeout: float = 180.0
-    barrier_timeout: float = 30.0
-    rpc_timeout: float = 30.0
     max_rounds: int | None = None
 
     def to_dict(self) -> dict:
-        return {"dx": self.dx, "dy": self.dy, "sensitivity": self.sensitivity,
-                "free_threshold": self.free_threshold, "transport": self.transport,
-                "seed": self.seed, "timeout": self.timeout,
-                "barrier_timeout": self.barrier_timeout, "rpc_timeout": self.rpc_timeout,
-                "max_rounds": self.max_rounds}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -115,9 +109,18 @@ def stitch(plans: dict[tuple[int, int], dict[int, list[int]]],
     return paths
 
 
+def failure_status(exc: Exception) -> str:
+    """The solve status a worker failure maps to."""
+    if isinstance(exc, (SolveTimeout, TransportTimeout)):
+        return "timeout"
+    if isinstance(exc, UnsolvableError):
+        return "unsolvable"
+    return "failed"
+
+
 @dataclass
 class WorkerResult:
-    status: str                    # solved | aborted
+    status: str                    # solved | unsolvable | timeout | failed
     reason: str = ""
     paths: dict[int, list[int]] | None = None
     rounds: int = 0
@@ -169,8 +172,9 @@ class Worker:
                 return ar.out_nodes[node]
         raise KeyError(node)
 
-    def _abort(self, reason: str) -> None:
-        self.ep.broadcast(make_frame("abort", self.wid, None, -1, {"reason": reason}))
+    def _abort(self, reason: str, status: str) -> None:
+        self.ep.broadcast(make_frame("abort", self.wid, None, -1,
+                                     {"reason": reason, "status": status}))
 
     # -- setup --------------------------------------------------------------
 
@@ -249,7 +253,7 @@ class Worker:
             coords = dict(host.in_nodes)
             coords.update(host.out_nodes)
             found = ng.assign_borders(admitted, border_pairs, coords, limit,
-                                      host_blocked, other_blocked)
+                                      host_blocked, other_blocked, self.deadline)
             if found is not None:
                 assignments = found
         ng.block_corners(assignments, host.corners, host_blocked)
@@ -526,10 +530,15 @@ class Worker:
                     raise UnsolvableError(f"no progress after {rnd} rounds (cap)")
             return self._aggregate(rnd)
         except AbortSignal as exc:
-            return WorkerResult("aborted", str(exc), rounds=rnd)
-        except (UnsolvableError, SolveTimeout, TransportTimeout, RuntimeError) as exc:
-            self._abort(f"worker {self.wid}: {exc}")
-            return WorkerResult("aborted", str(exc), rounds=rnd)
+            return WorkerResult(exc.status, exc.reason, rounds=rnd)
+        except Exception as exc:
+            status = failure_status(exc)
+            reason = str(exc)
+            if status == "failed":      # a fault, not an outcome: keep its trace
+                traceback.print_exc()
+                reason = f"{type(exc).__name__}: {exc}"
+            self._abort(f"worker {self.wid}: {reason}", status)
+            return WorkerResult(status, reason, rounds=rnd)
 
     # -- aggregation ---------------------------------------------------------
 
@@ -584,14 +593,6 @@ def build_workers(problem: Problem, config: RunConfig):
     return subs, links, area_owner, per_worker
 
 
-def classify_abort(reason: str) -> str:
-    if "timeout" in reason:
-        return "timeout"
-    if "unreachable" in reason or "no movement plan" in reason or "cap" in reason:
-        return "unsolvable"
-    return "failed"
-
-
 def solve(problem: Problem, config: RunConfig | None = None,
           trace: Trace | None = None) -> SolveResult:
     """Solve with all workers as threads over the in-process bus."""
@@ -613,20 +614,21 @@ def solve(problem: Problem, config: RunConfig | None = None,
         t.start()
     for t in threads:
         t.join(timeout=max(0.0, deadline - time.monotonic()) + 10.0)
-    elapsed = time.monotonic() - started
     aggregator = min(results) if results else None
     agg = results.get(aggregator)
     if agg is None or any(t.is_alive() for t in threads):
-        return SolveResult("timeout", "workers did not finish", elapsed=elapsed, trace=trace)
-    bad = [r for r in results.values() if r.status == "aborted"]
+        return SolveResult("timeout", "workers did not finish",
+                           elapsed=time.monotonic() - started, trace=trace)
+    bad = [r for r in results.values() if r.status != "solved"]
     if bad or agg.paths is None:
-        reason = bad[0].reason if bad else "no aggregate produced"
-        return SolveResult(classify_abort(reason), reason, elapsed=elapsed,
+        status, reason = ((bad[0].status, bad[0].reason) if bad
+                          else ("failed", "no aggregate produced"))
+        return SolveResult(status, reason, elapsed=time.monotonic() - started,
                            rounds=agg.rounds, trace=trace)
     solution = GlobalSolution.from_paths(agg.paths)
     report = validate(problem, solution)
     if not report.ok:
         raise RuntimeError(f"internal: aggregated solution invalid: "
                            f"{[str(v) for v in report.violations[:5]]}")
-    return SolveResult("solved", solution=solution, elapsed=elapsed,
+    return SolveResult("solved", solution=solution, elapsed=time.monotonic() - started,
                        rounds=agg.rounds, trace=trace)

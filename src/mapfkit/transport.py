@@ -21,11 +21,13 @@ class TransportTimeout(RuntimeError):
 
 
 class AbortSignal(RuntimeError):
-    """Another worker broadcast a global abort."""
+    """Another worker broadcast a global abort; `status` is the solve status
+    its failure maps to (timeout, unsolvable or failed)."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, status: str):
         super().__init__(reason)
         self.reason = reason
+        self.status = status
 
 
 class Trace:
@@ -71,7 +73,9 @@ class Inbox:
             while True:
                 for f in self._items:
                     if f.get("kind") == "abort":
-                        raise AbortSignal(f.get("body", {}).get("reason", "abort"))
+                        body = f.get("body", {})
+                        raise AbortSignal(body.get("reason", "abort"),
+                                          body.get("status", "failed"))
                 for i, f in enumerate(self._items):
                     if match(f):
                         return self._items.pop(i)

@@ -62,23 +62,23 @@ def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
                 frame = parent.take(lambda f: f["kind"] == "result",
                                     max(1.0, deadline - time.monotonic()) + 15.0)
             except AbortSignal as exc:
-                return SolveResult("failed", str(exc), elapsed=time.monotonic() - started)
+                return SolveResult(exc.status, exc.reason,
+                                   elapsed=time.monotonic() - started)
             except TransportTimeout:
                 return SolveResult("timeout", "no result from workers",
                                    elapsed=time.monotonic() - started)
             body = frame["body"]
-            elapsed = time.monotonic() - started
             if body["status"] != "solved":
-                from .runtime import classify_abort
-                return SolveResult(classify_abort(body.get("reason", "")),
-                                   body.get("reason", ""), elapsed=elapsed)
+                return SolveResult(body["status"], body["reason"],
+                                   elapsed=time.monotonic() - started)
             paths = {int(a): p for a, p in body["paths"].items()}
             solution = GlobalSolution.from_paths(paths)
             report = validate(problem, solution)
             if not report.ok:
                 raise RuntimeError(f"internal: aggregated solution invalid: "
                                    f"{[str(v) for v in report.violations[:5]]}")
-            return SolveResult("solved", solution=solution, elapsed=elapsed,
+            return SolveResult("solved", solution=solution,
+                               elapsed=time.monotonic() - started,
                                rounds=body.get("rounds", 0))
     finally:
         for p in procs:
@@ -108,9 +108,7 @@ def main(argv: list[str]) -> int:
                     config, ep, deadline)
     res = worker.run()
     if wid == min(bundle["worker_ids"]):
-        body = {"status": "solved" if res.status == "solved" and res.paths is not None
-                else "aborted",
-                "reason": res.reason, "rounds": res.rounds,
+        body = {"status": res.status, "reason": res.reason, "rounds": res.rounds,
                 "paths": {str(a): p for a, p in (res.paths or {}).items()}}
         try:
             ep.send(make_frame("result", wid, 0, res.rounds, body))

@@ -95,6 +95,13 @@ class TestBenchCommand:
         assert "| 6 x 4 | 2 |" in out
 
 
+class TestSolveFlags:
+    def test_solve_takes_no_seed(self, instance):
+        # the solver is deterministic; only the generator takes a seed
+        with pytest.raises(SystemExit):
+            main(["solve", str(instance), "--seed", "3"])
+
+
 class TestRenderCommand:
     def test_partition_svg(self, instance, tmp_path):
         out = tmp_path / "part.svg"

@@ -1,9 +1,12 @@
 """Bounded-horizon movement planning for a single area."""
 
 import random
+import time
 
 import pytest
 
+from mapfkit import motion
+from mapfkit.model import SolveTimeout
 from mapfkit.motion import (AreaInstance, check_plan, crowding_guard, horizon,
                             plan_movements, relax_and_retry)
 
@@ -211,3 +214,42 @@ class TestRelaxAndRetry:
                             plan_goals={1: b, 2: a})
         plan, stripped = relax_and_retry(inst, 10)
         assert plan is None and stripped == []
+
+
+class TestNodeLimits:
+    def crossing(self):
+        # two head-on pairs in a 4x2 room: the independent shortest paths
+        # collide, so the conflict-based search must branch
+        area = open_area(4, 2)
+        ends = {1: ((0, 0), (3, 0)), 2: ((3, 0), (0, 0)),
+                3: ((0, 1), (3, 1)), 4: ((3, 1), (0, 1))}
+        inst = AreaInstance(
+            area, 0, residents={a: node_of(area, s) for a, (s, _) in ends.items()},
+            plan_goals={a: node_of(area, g) for a, (_, g) in ends.items()})
+        return inst, horizon(len(area.in_nodes), 2.0)
+
+    @pytest.mark.parametrize("cbs_limit", [motion.CBS_NODE_LIMIT, 1])
+    def test_no_clock_read_without_deadline(self, monkeypatch, cbs_limit):
+        # with a CBS limit of 1 the priority search produces the plan
+        inst, h_m = self.crossing()
+        monkeypatch.setattr(motion, "CBS_NODE_LIMIT", cbs_limit)
+
+        def no_clock():
+            raise AssertionError("the planner read the clock")
+        monkeypatch.setattr("mapfkit.motion.time.monotonic", no_clock)
+        plan = plan_movements(inst, h_m)
+        monkeypatch.undo()
+        assert plan is not None and check_plan(inst, plan) == []
+        assert plan_movements(inst, h_m).steps == plan.steps
+
+    def test_past_deadline_aborts_fallback(self, monkeypatch):
+        inst, h_m = self.crossing()
+        monkeypatch.setattr(motion, "CBS_NODE_LIMIT", 1)
+        with pytest.raises(SolveTimeout):
+            plan_movements(inst, h_m, deadline=time.monotonic() - 1.0)
+
+    def test_both_limits_exhausted_is_failure(self, monkeypatch):
+        inst, h_m = self.crossing()
+        monkeypatch.setattr(motion, "CBS_NODE_LIMIT", 1)
+        monkeypatch.setattr(motion, "PRIORITY_NODE_LIMIT", 0)
+        assert plan_movements(inst, h_m) is None

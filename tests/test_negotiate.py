@@ -1,7 +1,11 @@
 """Border negotiation: tiers, admission, assignment, blocking, rejection."""
 
 import random
+import time
 
+import pytest
+
+from mapfkit.model import SolveTimeout
 from mapfkit.negotiate import (BlockedBorders, BorderAssignment, IncomingRecord,
                                MigrationCandidate, admit, assign_borders,
                                block_corners, build_tiers, count_blocked,
@@ -127,6 +131,34 @@ class TestAssignBorders:
                 assert got is not None
                 assert len(got) == limit
                 assert sum(b.distance for b in got) == want
+
+
+class TestAssignDeadline:
+    def instance(self):
+        # eight optional candidates over eight border pairs, choose four:
+        # the branch-and-bound needs far more than 64 search calls
+        rng = random.Random(5)
+        pairs = [(10 + 2 * i, 11 + 2 * i) for i in range(8)]
+        coords = {n: (rng.randrange(8), rng.randrange(8)) for p in pairs for n in p}
+        cands = []
+        for i in range(8):
+            c = cand(i + 1, host_side=i % 2 == 0,
+                     coord=(rng.randrange(8), rng.randrange(8)))
+            c.mandatory = False
+            cands.append(c)
+        return cands, pairs, coords
+
+    def test_past_deadline_raises(self):
+        cands, pairs, coords = self.instance()
+        with pytest.raises(SolveTimeout):
+            assign_borders(cands, pairs, coords, 4, deadline=time.monotonic() - 1.0)
+
+    def test_future_deadline_changes_nothing(self):
+        cands, pairs, coords = self.instance()
+        free = assign_borders(cands, pairs, coords, 4)
+        assert free is not None and len(free) == 4
+        assert assign_borders(cands, pairs, coords, 4,
+                              deadline=time.monotonic() + 60.0) == free
 
 
 class TestBlocking:

@@ -1,11 +1,14 @@
 """Round protocol, task determination, stitching, end-to-end solves."""
 
+import time
+
 import pytest
 
+from mapfkit import runtime, workerproc
 from mapfkit.cli import generate_instance
-from mapfkit.model import parse_grid, validate
-from mapfkit.runtime import (RunConfig, build_workers, classify_abort,
-                             determine_tasks, solve, stitch)
+from mapfkit.model import SolveTimeout, parse_grid, validate
+from mapfkit.runtime import (RunConfig, build_workers, determine_tasks, solve,
+                             stitch)
 from mapfkit.transport import Trace
 
 
@@ -79,18 +82,75 @@ class TestStitch:
             stitch(plans, {1: 5})
 
 
-class TestClassifyAbort:
-    def test_timeout(self):
-        assert classify_abort("solve timeout exceeded") == "timeout"
+TWO_WORKERS = "agent 1 0 0 5 1\nagent 2 5 1 0 0\n\n" + "\n".join(["." * 6] * 2)
+UNREACHABLE = "agent 1 0 0 3 0\n\n.#..\n.#..\n.#..\n.#..\n"
 
-    def test_unsolvable(self):
-        assert classify_abort("agent 3: area 2 unreachable from 1") == "unsolvable"
-        assert classify_abort("area 4: no movement plan within horizon 12 "
-                              "after exhausting relaxation (round 1)") == "unsolvable"
-        assert classify_abort("no progress after 17 rounds (cap)") == "unsolvable"
 
-    def test_other(self):
-        assert classify_abort("connection reset") == "failed"
+class TestFailureStatus:
+    @pytest.mark.parametrize("exc, status", [
+        (SolveTimeout("movement planning deadline exceeded"), "timeout"),
+        (KeyError(7), "failed"),
+    ])
+    def test_planner_failure_maps_to_status(self, monkeypatch, exc, status):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(runtime, "relax_and_retry", fail)
+        res = run(TWO_WORKERS, dx=3, dy=2)
+        assert res.status == status
+        assert str(exc) in res.reason
+
+    def test_frame_wait_past_deadline_is_timeout(self, monkeypatch):
+        # one worker plans past the deadline; the other one times out
+        # waiting for its frames and aborts the solve
+        real = runtime.relax_and_retry
+
+        def slow(inst, h_m, deadline=None):
+            if inst.area.id == 1:
+                time.sleep(max(0.0, deadline - time.monotonic()) + 0.5)
+            return real(inst, h_m, deadline)
+        monkeypatch.setattr(runtime, "relax_and_retry", slow)
+        res = run(TWO_WORKERS, dx=3, dy=2, timeout=1.0)
+        assert res.status == "timeout"
+        assert "no matching frame" in res.reason
+
+    def test_crowded_instance_times_out(self):
+        text = generate_instance(24, 24, 120, 0.0, seed=11, solvable=True)
+        res = run(text, timeout=3.0)
+        assert res.status == "timeout"
+
+    def test_border_assignment_honours_deadline(self):
+        text = generate_instance(24, 24, 46, 0.0, seed=11, solvable=True)
+        t0 = time.monotonic()
+        res = run(text, dx=12, dy=24, timeout=3.0)
+        assert res.status == "timeout"
+        assert time.monotonic() - t0 < 5.0
+
+    def test_tcp_result_frame_carries_status(self):
+        res = workerproc.solve_tcp(parse_grid(UNREACHABLE),
+                                   RunConfig(dx=2, dy=4, transport="tcp", timeout=60.0))
+        assert res.status == "unsolvable"
+        assert "unreachable" in res.reason
+
+
+class TestElapsed:
+    def slow_validate(self, monkeypatch, owner):
+        real = owner.validate
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+        monkeypatch.setattr(owner, "validate", slow)
+
+    def test_inproc_includes_validation(self, monkeypatch):
+        self.slow_validate(monkeypatch, runtime)
+        res = run(TWO_WORKERS, dx=3, dy=2)
+        assert res.status == "solved" and res.elapsed >= 0.3
+
+    def test_tcp_includes_validation(self, monkeypatch):
+        self.slow_validate(monkeypatch, workerproc)
+        res = workerproc.solve_tcp(parse_grid(TWO_WORKERS),
+                                   RunConfig(dx=3, dy=2, transport="tcp", timeout=60.0))
+        assert res.status == "solved" and res.elapsed >= 0.3
 
 
 class TestBuildWorkers:
@@ -117,11 +177,10 @@ class TestSolveEndToEnd:
         assert validate(p, res.solution).ok
 
     def test_cross_area_migration(self):
-        text = "agent 1 0 0 5 1\nagent 2 5 1 0 0\n\n" + "\n".join(["." * 6] * 2)
-        res = run(text, dx=3, dy=2)
+        res = run(TWO_WORKERS, dx=3, dy=2)
         assert res.status == "solved"
         assert res.rounds >= 2
-        assert validate(parse_grid(text), res.solution).ok
+        assert validate(parse_grid(TWO_WORKERS), res.solution).ok
 
     def test_agent_without_goal_stays_valid(self):
         text = "agent 1 0 0 3 0\nagent 2 1 1\n\n....\n....\n"
@@ -144,8 +203,7 @@ class TestSolveEndToEnd:
         assert a.solution.paths == b.solution.paths
 
     def test_unreachable_goal_is_unsolvable(self):
-        text = "agent 1 0 0 3 0\n\n.#..\n.#..\n.#..\n.#..\n"
-        res = run(text, dx=2, dy=4)
+        res = run(UNREACHABLE, dx=2, dy=4)
         assert res.status == "unsolvable"
         assert "unreachable" in res.reason
 
