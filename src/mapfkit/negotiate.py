@@ -7,10 +7,9 @@ live in the other area and enter the host.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .model import Coord, SolveTimeout
+from .model import Coord
 
 
 @dataclass
@@ -123,24 +122,28 @@ def assign_borders(admitted: list[MigrationCandidate],
                    coords: dict[int, Coord],
                    limit: int,
                    host_blocked: BlockedBorders | None = None,
-                   other_blocked: BlockedBorders | None = None,
-                   deadline: float | None = None
+                   other_blocked: BlockedBorders | None = None
                    ) -> list[BorderAssignment] | None:
     """Minimum-total-distance assignment of exactly `limit` candidates to
     unblocked border pairs; every mandatory candidate must be assigned.
 
-    Distinct from-borders, distinct to-borders, no opposite-direction use of
-    one border pair.  None signals infeasibility (the pair retries next round).
-    Raises SolveTimeout once `deadline` (time.monotonic) has passed.
+    Every border node lies in exactly one border pair of its area pair, so
+    distinct from-borders, distinct to-borders and no opposite-direction use
+    of one border pair all mean "each border pair is used at most once": a
+    min-cost bipartite matching, grown by successive shortest paths.  Equal
+    totals go to the lexicographically first choice over the candidates in
+    `order`, each preferring its options by (distance, from-border) and
+    being left out last.  None signals infeasibility (the pair retries next
+    round).
     """
     host_blocked = host_blocked or BlockedBorders.empty()
     other_blocked = other_blocked or BlockedBorders.empty()
 
-    options: list[tuple[MigrationCandidate, list[tuple[int, int, int]]]] = []
     order = sorted(admitted, key=lambda c: (not c.mandatory, -c.tier, c.agent))
+    options: list[dict[int, tuple[int, int, int]]] = []   # pair -> (from, to, distance)
     for c in order:
-        opts = []
-        for h, o in border_pairs:
+        opts = {}
+        for k, (h, o) in enumerate(border_pairs):
             if c.host_side:
                 if h in host_blocked.as_from or o in other_blocked.as_to:
                     continue
@@ -151,76 +154,62 @@ def assign_borders(admitted: list[MigrationCandidate],
                 frm, to = o, h
             hx, hy = coords[frm]
             cx, cy = c.coord
-            opts.append((frm, to, abs(cx - hx) + abs(cy - hy)))
-        opts.sort(key=lambda t: (t[2], t[0]))
-        options.append((c, opts))
+            opts[k] = (frm, to, abs(cx - hx) + abs(cy - hy))
+        options.append(opts)
 
-    best: list[tuple[int, int, int, int, bool]] | None = None
-    best_cost: int | None = None
-    calls = 0
-
-    # suffix data for lower-bound pruning: mandatory candidates sort first,
-    # optional tails contribute their cheapest options in ascending order
-    n = len(options)
-    mand_cnt = [0] * (n + 1)
-    mand_sum = [0] * (n + 1)
-    opt_dists: list[list[int]] = [[] for _ in range(n + 1)]
+    # One integer cost per option, by priority: a penalty for an optional
+    # candidate, the distance, then the option's rank as one digit of a
+    # mixed-radix number over `order`.  Ranks are shifted so that leaving a
+    # candidate out costs 0, the last rank.  Distinct matchings then have
+    # distinct costs, and the unique optimum is the tie-break above.
+    n = len(order)
+    weight = [0] * n
+    unit = 1
     for i in range(n - 1, -1, -1):
-        c, opts = options[i]
-        cheapest = opts[0][2] if opts else 0
-        if c.mandatory:
-            mand_cnt[i] = mand_cnt[i + 1] + 1
-            mand_sum[i] = mand_sum[i + 1] + cheapest
-            opt_dists[i] = opt_dists[i + 1]
-        else:
-            mand_cnt[i] = mand_cnt[i + 1]
-            mand_sum[i] = mand_sum[i + 1]
-            opt_dists[i] = sorted(opt_dists[i + 1] + [cheapest])
+        weight[i] = unit
+        unit *= len(options[i]) + 1
+    penalty = unit * (1 + sum(max((d for *_, d in o.values()), default=0) for o in options))
+    cost: list[dict[int, int]] = []
+    for i, c in enumerate(order):
+        ranked = sorted(options[i], key=lambda k: (options[i][k][2], options[i][k][0]))
+        cost.append({k: (0 if c.mandatory else penalty) + options[i][k][2] * unit
+                     + (r - len(ranked)) * weight[i] for r, k in enumerate(ranked)})
 
-    def search(idx: int, chosen: list, cost: int,
-               used_from: set[int], used_to: set[int],
-               used_pair: dict[frozenset, bool]):
-        nonlocal best, best_cost, calls
-        calls += 1
-        if calls % 64 == 0 and deadline is not None and time.monotonic() > deadline:
-            raise SolveTimeout("border assignment deadline exceeded")
-        need = limit - len(chosen)
-        if need < 0 or mand_cnt[idx] > need or need > n - idx:
-            return
-        bound = cost + mand_sum[idx] + sum(opt_dists[idx][:need - mand_cnt[idx]])
-        if best_cost is not None and bound >= best_cost:
-            return
-        if idx == n:
-            if need == 0:
-                best = list(chosen)
-                best_cost = cost
-            return
-        cand, opts = options[idx]
-        for frm, to, dist in opts:
-            if frm in used_from or to in used_to:
-                continue
-            pk = frozenset((frm, to))
-            if pk in used_pair and used_pair[pk] != cand.host_side:
-                continue
-            used_from.add(frm)
-            used_to.add(to)
-            had = pk in used_pair
-            if not had:
-                used_pair[pk] = cand.host_side
-            chosen.append((cand.agent, frm, to, dist, cand.host_side))
-            search(idx + 1, chosen, cost + dist, used_from, used_to, used_pair)
-            chosen.pop()
-            used_from.discard(frm)
-            used_to.discard(to)
-            if not had:
-                del used_pair[pk]
-        if not cand.mandatory:
-            search(idx + 1, chosen, cost, used_from, used_to, used_pair)
+    match: list[int | None] = [None] * n      # candidate -> border pair
+    owner: dict[int, int] = {}                # border pair -> candidate
+    for _ in range(limit):
+        # Bellman-Ford over the residual graph: free candidates start at 0,
+        # a candidate reaches its unmatched options, a matched pair leads
+        # back to its candidate at minus that option's cost
+        to_cand: dict[int, tuple[int, int | None]] = {i: (0, None) for i in range(n)
+                                                      if match[i] is None}
+        to_pair: dict[int, tuple[int, int]] = {}
+        changed = True
+        while changed:
+            changed = False
+            for i, (d, _) in list(to_cand.items()):
+                for k, w in cost[i].items():
+                    if k != match[i] and (k not in to_pair or d + w < to_pair[k][0]):
+                        to_pair[k] = (d + w, i)
+                        changed = True
+            for k, (d, _) in to_pair.items():
+                j = owner.get(k)
+                if j is not None and (j not in to_cand or d - cost[j][k] < to_cand[j][0]):
+                    to_cand[j] = (d - cost[j][k], k)
+                    changed = True
+        free = [k for k in to_pair if k not in owner]
+        if not free:
+            return None
+        k = min(free, key=lambda k: to_pair[k][0])
+        while k is not None:
+            i = to_pair[k][1]
+            match[i], owner[k] = k, i
+            k = to_cand[i][1]
 
-    search(0, [], 0, set(), set(), {})
-    if best is None:
+    if any(c.mandatory and match[i] is None for i, c in enumerate(order)):
         return None
-    return sorted((BorderAssignment(a, f, t, d, hs) for a, f, t, d, hs in best),
+    return sorted((BorderAssignment(c.agent, *options[i][match[i]], c.host_side)
+                   for i, c in enumerate(order) if match[i] is not None),
                   key=lambda b: b.agent)
 
 

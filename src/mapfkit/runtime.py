@@ -253,7 +253,7 @@ class Worker:
             coords = dict(host.in_nodes)
             coords.update(host.out_nodes)
             found = ng.assign_borders(admitted, border_pairs, coords, limit,
-                                      host_blocked, other_blocked, self.deadline)
+                                      host_blocked, other_blocked)
             if found is not None:
                 assignments = found
         ng.block_corners(assignments, host.corners, host_blocked)

@@ -177,6 +177,14 @@ def recv_tcp_frame(sock: socket.socket) -> dict | None:
     return json.loads(data.decode("utf-8"))
 
 
+def listen_local() -> socket.socket:
+    """A TCP socket listening on a free loopback port."""
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(64)
+    return server
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     buf = b""
     while len(buf) < n:
@@ -190,21 +198,19 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 class TcpEndpoint(Endpoint):
     """One mesh node: a listening server plus cached outbound connections.
 
-    `peers` maps worker ids (and id 0 for the coordinating parent) to
-    (host, port) addresses.
+    `server` is a socket that is already bound and listening, so a peer's
+    address is fixed before any process starts.  `peers` maps worker ids
+    (and id 0 for the coordinating parent) to (host, port) addresses.
     """
 
-    def __init__(self, wid: int, listen: tuple[str, int],
+    def __init__(self, wid: int, server: socket.socket,
                  peers: dict[int, tuple[str, int]], trace: Trace | None = None):
         super().__init__(wid)
         self.peers = dict(peers)
         self.trace = trace
         self._out: dict[int, socket.socket] = {}
         self._out_lock = threading.Lock()
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(listen)
-        self._server.listen(64)
+        self._server = server
         self._closing = False
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()

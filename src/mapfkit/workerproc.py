@@ -18,23 +18,18 @@ from pathlib import Path
 from .model import GlobalSolution, Problem, validate
 from .partition import LinkGraph, Subproblem
 from .runtime import AgentState, RunConfig, SolveResult, Worker, build_workers
-from .transport import AbortSignal, TcpEndpoint, TransportTimeout, make_frame
-
-
-def _free_port() -> int:
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+from .transport import (AbortSignal, TcpEndpoint, TransportTimeout, listen_local,
+                        make_frame)
 
 
 def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
     started = time.monotonic()
     subs, links, area_owner, per_worker = build_workers(problem, config)
-    addrs = {sub.id: ("127.0.0.1", _free_port()) for sub in subs}
-    addrs[0] = ("127.0.0.1", _free_port())
-    parent = TcpEndpoint(0, addrs[0], addrs)
+    # every listening socket is bound here and handed to its worker, so no
+    # port is free between being chosen and being bound
+    servers = {wid: listen_local() for wid in [0] + [sub.id for sub in subs]}
+    addrs = {wid: server.getsockname() for wid, server in servers.items()}
+    parent = TcpEndpoint(0, servers[0], addrs)
     procs = []
     try:
         with tempfile.TemporaryDirectory(prefix="mapfkit-") as tmp:
@@ -51,12 +46,15 @@ def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
                                for a in per_worker[sub.id]],
                     "config": config.to_dict(),
                     "peers": {str(w): list(addr) for w, addr in addrs.items()},
+                    "listen_fd": servers[sub.id].fileno(),
                     "timeout": config.timeout,
                 }
                 path = Path(tmp) / f"worker-{sub.id}.json"
                 path.write_text(json.dumps(bundle))
                 procs.append(subprocess.Popen(
-                    [sys.executable, "-m", "mapfkit.workerproc", str(path)]))
+                    [sys.executable, "-m", "mapfkit.workerproc", str(path)],
+                    pass_fds=(bundle["listen_fd"],)))
+                servers[sub.id].close()
             deadline = started + config.timeout
             try:
                 frame = parent.take(lambda f: f["kind"] == "result",
@@ -89,6 +87,8 @@ def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
                 p.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 p.kill()
+        for server in servers.values():
+            server.close()
         parent.close()
 
 
@@ -102,7 +102,7 @@ def main(argv: list[str]) -> int:
                          [], d["area"]) for d in bundle["agents"]]
     config = RunConfig.from_dict(bundle["config"])
     peers = {int(w): tuple(addr) for w, addr in bundle["peers"].items()}
-    ep = TcpEndpoint(wid, tuple(peers[wid]), peers)
+    ep = TcpEndpoint(wid, socket.socket(fileno=bundle["listen_fd"]), peers)
     deadline = time.monotonic() + bundle["timeout"]
     worker = Worker(wid, sub, links, area_owner, bundle["worker_ids"], agents,
                     config, ep, deadline)

@@ -78,12 +78,16 @@ def joint_bfs(inst: AreaInstance, h_m: int) -> int | None:
     return None
 
 
-def brute_force_assignment(candidates, border_pairs, coords, limit):
+def brute_force_assignment(candidates, border_pairs, coords, limit,
+                           host_blocked=(set(), set()), other_blocked=(set(), set())):
     """Minimum-total-distance assignment by full enumeration.
 
     candidates: list of (agent, coord, host_side, mandatory).
     border_pairs: list of (host node, other node).
-    Returns (best total distance, count) or None when infeasible.
+    host_blocked, other_blocked: (nodes blocked as from-border, nodes blocked
+    as to-border) of the host area and of the other area; each node is
+    checked against the sets of the area it lies in.
+    Returns the best total distance, or None when infeasible.
     """
     n = len(candidates)
     best = None
@@ -101,6 +105,11 @@ def brute_force_assignment(candidates, border_pairs, coords, limit):
                 agent, coord, host_side, _m = candidates[ci]
                 h, o = border_pairs[pi]
                 frm, to = (h, o) if host_side else (o, h)
+                from_area, to_area = ((host_blocked, other_blocked) if host_side
+                                      else (other_blocked, host_blocked))
+                if frm in from_area[0] or to in to_area[1]:
+                    ok = False
+                    break
                 if frm in froms or to in tos:
                     ok = False
                     break

@@ -173,6 +173,11 @@ def check_partition_invariants(p, subs, links):
     for aid, area in areas.items():
         for n in area.out_nodes:
             assert seen[n] != aid
+    # border matching relies on this: no node lies in two border pairs of
+    # one area pair
+    for (a1, a2), plist in links.pairs.items():
+        nodes = [n for pair in plist for n in pair]
+        assert len(nodes) == len(set(nodes)), f"node in two border pairs of {(a1, a2)}"
 
     # area connectivity over in-node adjacency
     for area in areas.values():

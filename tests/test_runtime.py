@@ -115,13 +115,8 @@ class TestFailureStatus:
 
     def test_crowded_instance_times_out(self):
         text = generate_instance(24, 24, 120, 0.0, seed=11, solvable=True)
-        res = run(text, timeout=3.0)
-        assert res.status == "timeout"
-
-    def test_border_assignment_honours_deadline(self):
-        text = generate_instance(24, 24, 46, 0.0, seed=11, solvable=True)
         t0 = time.monotonic()
-        res = run(text, dx=12, dy=24, timeout=3.0)
+        res = run(text, timeout=3.0)
         assert res.status == "timeout"
         assert time.monotonic() - t0 < 5.0
 
@@ -201,6 +196,14 @@ class TestSolveEndToEnd:
         b = solve(parse_grid(text), RunConfig(dx=4, dy=4, timeout=120.0))
         assert a.status == b.status == "solved"
         assert a.solution.paths == b.solution.paths
+
+    def test_wide_tiles_46_agents(self):
+        # two 12x24 tiles share one 24-pair border, so each negotiation is
+        # a large border matching
+        text = generate_instance(24, 24, 46, 0.0, seed=11, solvable=True)
+        res = run(text, dx=12, dy=24)
+        assert res.status == "solved"
+        assert validate(parse_grid(text), res.solution).ok
 
     def test_unreachable_goal_is_unsolvable(self):
         res = run(UNREACHABLE, dx=2, dy=4)
