@@ -40,8 +40,7 @@ def load_problem(path: str) -> Problem:
 
 def config_from_args(args) -> RunConfig:
     return RunConfig(dx=args.dx, dy=args.dy, sensitivity=args.F,
-                     free_threshold=args.nf, transport=args.transport,
-                     timeout=args.timeout)
+                     free_threshold=args.nf, timeout=args.timeout)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -56,8 +55,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    default=_env("transport", str, "inproc"))
 
 
-def run_solve(problem: Problem, config: RunConfig) -> SolveResult:
-    if config.transport == "tcp":
+def run_solve(problem: Problem, config: RunConfig, transport: str) -> SolveResult:
+    if transport == "tcp":
         from .workerproc import solve_tcp
         return solve_tcp(problem, config)
     return solve(problem, config)
@@ -70,7 +69,7 @@ def cmd_solve(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     config = config_from_args(args)
-    result = run_solve(problem, config)
+    result = run_solve(problem, config, args.transport)
     if result.status != "solved":
         print(f"{result.status}: {result.reason}", file=sys.stderr)
         return EXIT_TIMEOUT if result.status == "timeout" else \
@@ -172,7 +171,7 @@ def cmd_bench(args) -> int:
         text = generate_instance(width, height, n_agents, args.density, args.seed)
         problem = model.parse_grid(text)
         config = config_from_args(args)
-        result = run_solve(problem, config)
+        result = run_solve(problem, config, args.transport)
         if result.status == "solved":
             sol = result.solution
             print(f"| {width} x {height} | {n_agents} | {result.elapsed:.1f} "

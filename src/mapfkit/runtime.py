@@ -3,7 +3,6 @@ barrier synchronization, and aggregation of partial plans."""
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
@@ -26,7 +25,6 @@ class RunConfig:
     dy: int = 8
     sensitivity: float = 2.0       # horizon factor F
     free_threshold: int = 4        # crowding guard n_f
-    transport: str = "inproc"
     timeout: float = 180.0
     max_rounds: int | None = None
 
@@ -109,15 +107,6 @@ def stitch(plans: dict[tuple[int, int], dict[int, list[int]]],
     return paths
 
 
-def failure_status(exc: Exception) -> str:
-    """The solve status a worker failure maps to."""
-    if isinstance(exc, (SolveTimeout, TransportTimeout)):
-        return "timeout"
-    if isinstance(exc, UnsolvableError):
-        return "unsolvable"
-    return "failed"
-
-
 @dataclass
 class WorkerResult:
     status: str                    # solved | unsolvable | timeout | failed
@@ -148,6 +137,7 @@ class Worker:
         self.total_areas = len(area_owner)
         self.plans: dict[tuple[int, int], MovementPlan] = {}
         self.round_cap = config.max_rounds
+        self.rounds = 0
         # per-round protocol state
         self.blocked: dict[int, ng.BlockedBorders] = {}
         self.pair_assignments: dict[Pair, list[ng.BorderAssignment]] = {}
@@ -155,14 +145,11 @@ class Worker:
 
     # -- helpers ------------------------------------------------------------
 
-    def _remaining(self) -> float:
-        return self.deadline - time.monotonic()
-
-    def _wait(self, cap: float | None = None) -> float:
-        rem = self._remaining()
+    def _wait(self) -> float:
+        rem = self.deadline - time.monotonic()
         if rem <= 0:
             raise SolveTimeout("solve timeout exceeded")
-        return min(rem, cap) if cap is not None else rem
+        return rem
 
     def _coord(self, node: int):
         for ar in self.areas.values():
@@ -171,10 +158,6 @@ class Worker:
             if node in ar.out_nodes:
                 return ar.out_nodes[node]
         raise KeyError(node)
-
-    def _abort(self, reason: str, status: str) -> None:
-        self.ep.broadcast(make_frame("abort", self.wid, None, -1,
-                                     {"reason": reason, "status": status}))
 
     # -- setup --------------------------------------------------------------
 
@@ -204,13 +187,12 @@ class Worker:
             "max_plan": max((len(st.remaining) for st in self.agents.values()), default=0),
         }
 
-    def _barrier(self, rnd: int) -> dict[int, dict]:
+    def _barrier(self, rnd: int):
         self.ep.broadcast(make_frame("track", self.wid, None, rnd, self._track_body()))
         bodies: dict[int, dict] = {}
         while len(bodies) < len(self.worker_ids):
-            f = self.ep.take(lambda fr: fr["kind"] == "track" and fr["round"] == rnd
-                             and fr["from"] not in bodies,
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "track" and fr["round"] == rnd
+                       and fr["from"] not in bodies)
             bodies[f["from"]] = f["body"]
         return bodies
 
@@ -268,7 +250,7 @@ class Worker:
                 self.my_assigned[b.agent] = (pair, b)
 
     def _negotiation(self, rnd: int, send: list[Pair], recv: list[Pair],
-                     local: list[Pair]) -> None:
+                     local: list[Pair]):
         for pair in send:
             lo, hi = pair
             lob = self.blocked.setdefault(lo, ng.BlockedBorders.empty())
@@ -281,10 +263,9 @@ class Worker:
                                     msg_id=self.ep.next_msg_id()))
         requests: dict[Pair, dict] = {}
         while len(requests) < len(recv):
-            f = self.ep.take(lambda fr: fr["kind"] == "migrate"
-                             and fr.get("phase") == "negotiate" and fr["round"] == rnd
-                             and "candidates" in fr["body"],
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "migrate"
+                       and fr.get("phase") == "negotiate" and fr["round"] == rnd
+                       and "candidates" in fr["body"])
             requests[tuple(f["body"]["pair"])] = f
         hosted = sorted(local + list(requests))
         for pair in hosted:
@@ -304,11 +285,10 @@ class Worker:
                 self.ep.send(make_frame("migrate", self.wid, req["from"], rnd, body,
                                         phase="negotiate", reply_to=req.get("msg_id")))
         for pair in send:
-            f = self.ep.take(lambda fr: fr["kind"] == "migrate"
-                             and fr.get("phase") == "negotiate" and fr["round"] == rnd
-                             and "assignments" in fr["body"]
-                             and tuple(fr["body"]["pair"]) == pair,
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "migrate"
+                       and fr.get("phase") == "negotiate" and fr["round"] == rnd
+                       and "assignments" in fr["body"]
+                       and tuple(fr["body"]["pair"]) == pair)
             self._register_assignments(
                 pair, [ng.BorderAssignment.from_dict(d) for d in f["body"]["assignments"]])
 
@@ -318,7 +298,7 @@ class Worker:
         if agent in self.my_assigned and self.my_assigned[agent][0] == pair:
             del self.my_assigned[agent]
 
-    def _rejection(self, rnd: int, send: list[Pair], recv: list[Pair]) -> None:
+    def _rejection(self, rnd: int, send: list[Pair], recv: list[Pair]):
         to_report: dict[Pair, list[int]] = {pair: [] for pair in send}
         for aid in sorted(self.areas):
             records = []
@@ -345,10 +325,9 @@ class Worker:
                                     body, phase="reject", msg_id=self.ep.next_msg_id()))
         served = 0
         while served < len(recv):
-            f = self.ep.take(lambda fr: fr["kind"] == "migrate"
-                             and fr.get("phase") == "reject" and fr["round"] == rnd
-                             and "rejected" in fr["body"] and "ack" not in fr["body"],
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "migrate"
+                       and fr.get("phase") == "reject" and fr["round"] == rnd
+                       and "rejected" in fr["body"] and "ack" not in fr["body"])
             pair = tuple(f["body"]["pair"])
             for agent in f["body"]["rejected"]:
                 self._drop_assignment(pair, agent)
@@ -357,10 +336,9 @@ class Worker:
                                     phase="reject", reply_to=f.get("msg_id")))
             served += 1
         for pair in send:
-            self.ep.take(lambda fr: fr["kind"] == "migrate"
-                         and fr.get("phase") == "reject" and fr["round"] == rnd
-                         and fr["body"].get("ack") and tuple(fr["body"]["pair"]) == pair,
-                         self._wait())
+            yield (lambda fr: fr["kind"] == "migrate"
+                   and fr.get("phase") == "reject" and fr["round"] == rnd
+                   and fr["body"].get("ack") and tuple(fr["body"]["pair"]) == pair)
 
     # -- movement planning ---------------------------------------------------
 
@@ -432,7 +410,7 @@ class Worker:
             area=dest, entering=True)
 
     def _confirmation(self, rnd: int, send: list[Pair], recv: list[Pair],
-                      local: list[Pair]) -> None:
+                      local: list[Pair]):
         confirmed: dict[Pair, dict[bool, list[int]]] = {}
         for agent, (pair, b) in sorted(self.my_assigned.items()):
             confirmed.setdefault(pair, {True: [], False: []})[b.host_side].append(agent)
@@ -458,10 +436,9 @@ class Worker:
                                     body, phase="confirm", msg_id=self.ep.next_msg_id()))
         served = 0
         while served < len(recv):
-            f = self.ep.take(lambda fr: fr["kind"] == "migrate"
-                             and fr.get("phase") == "confirm" and fr["round"] == rnd
-                             and fr["body"].get("dir") == "req",
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "migrate"
+                       and fr.get("phase") == "confirm" and fr["round"] == rnd
+                       and fr["body"].get("dir") == "req")
             pair = tuple(f["body"]["pair"])
             body = {"pair": list(pair), "migrants": records(pair, True), "dir": "resp"}
             apply_outgoing(pair, True)
@@ -471,11 +448,10 @@ class Worker:
                                     phase="confirm", reply_to=f.get("msg_id")))
             served += 1
         for pair in send:
-            f = self.ep.take(lambda fr: fr["kind"] == "migrate"
-                             and fr.get("phase") == "confirm" and fr["round"] == rnd
-                             and fr["body"].get("dir") == "resp"
-                             and tuple(fr["body"]["pair"]) == pair,
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "migrate"
+                       and fr.get("phase") == "confirm" and fr["round"] == rnd
+                       and fr["body"].get("dir") == "resp"
+                       and tuple(fr["body"]["pair"]) == pair)
             apply_outgoing(pair, False)
             for rec in f["body"]["migrants"]:
                 self._ingest_migrant(rec, pair[0])
@@ -501,48 +477,56 @@ class Worker:
         return blocked
 
     def _do_round(self, rnd: int, send: list[Pair], recv: list[Pair],
-                  local: list[Pair], touched: set[int]) -> None:
+                  local: list[Pair], touched: set[int]):
         self.blocked = self._parked_blocks()
         self.pair_assignments = {}
         self.my_assigned = {}
-        self._negotiation(rnd, send, recv, local)
-        self._rejection(rnd, send, recv)
+        yield from self._negotiation(rnd, send, recv, local)
+        yield from self._rejection(rnd, send, recv)
         self._plan_round(rnd, touched)
-        self._confirmation(rnd, send, recv, local)
+        yield from self._confirmation(rnd, send, recv, local)
 
-    def run(self) -> WorkerResult:
-        rnd = 0
-        try:
-            self._plan_abstract()
-            while True:
-                bodies = self._barrier(rnd)
-                if self.round_cap is None:
-                    longest = max((b["max_plan"] for b in bodies.values()), default=0)
-                    self.round_cap = max(16, 4 * self.total_areas * max(longest, 1))
-                active, send, recv, local, touched = determine_tasks(bodies, self.area_owner)
-                if not active:
-                    break
-                if self.wid in active:
-                    self._do_round(rnd, send.get(self.wid, []), recv.get(self.wid, []),
-                                   local.get(self.wid, []), touched)
-                rnd += 1
-                if rnd > self.round_cap:
-                    raise UnsolvableError(f"no progress after {rnd} rounds (cap)")
-            return self._aggregate(rnd)
-        except AbortSignal as exc:
-            return WorkerResult(exc.status, exc.reason, rounds=rnd)
-        except Exception as exc:
-            status = failure_status(exc)
-            reason = str(exc)
-            if status == "failed":      # a fault, not an outcome: keep its trace
-                traceback.print_exc()
-                reason = f"{type(exc).__name__}: {exc}"
-            self._abort(f"worker {self.wid}: {reason}", status)
-            return WorkerResult(status, reason, rounds=rnd)
+    def steps(self):
+        """The protocol as a generator: wherever it waits for a frame it yields
+        the frame's predicate and is sent the frame; returns the WorkerResult."""
+        self._plan_abstract()
+        while True:
+            bodies = yield from self._barrier(self.rounds)
+            if self.round_cap is None:
+                longest = max((b["max_plan"] for b in bodies.values()), default=0)
+                self.round_cap = max(16, 4 * self.total_areas * max(longest, 1))
+            active, send, recv, local, touched = determine_tasks(bodies, self.area_owner)
+            if not active:
+                break
+            if self.wid in active:
+                yield from self._do_round(self.rounds, send.get(self.wid, []),
+                                          recv.get(self.wid, []), local.get(self.wid, []), touched)
+            self.rounds += 1
+            if self.rounds > self.round_cap:
+                raise UnsolvableError(f"no progress after {self.rounds} rounds (cap)")
+        return (yield from self._aggregate(self.rounds))
+
+    def fail(self, exc: Exception) -> WorkerResult:
+        """The result of a worker that `exc` ended.  Unless `exc` is another
+        worker's abort, the failure is broadcast as an abort."""
+        if isinstance(exc, AbortSignal):
+            return WorkerResult(exc.status, exc.reason, rounds=self.rounds)
+        reason = str(exc)
+        if isinstance(exc, (SolveTimeout, TransportTimeout)):
+            status = "timeout"
+        elif isinstance(exc, UnsolvableError):
+            status = "unsolvable"
+        else:                           # a fault, not an outcome: keep its trace
+            status = "failed"
+            traceback.print_exception(exc)
+            reason = f"{type(exc).__name__}: {exc}"
+        self.ep.broadcast(make_frame("abort", self.wid, None, -1, {
+            "reason": f"worker {self.wid}: {reason}", "status": status}))
+        return WorkerResult(status, reason, rounds=self.rounds)
 
     # -- aggregation ---------------------------------------------------------
 
-    def _aggregate(self, rounds: int) -> WorkerResult:
+    def _aggregate(self, rounds: int):
         aggregator = min(self.worker_ids)
         body = {"plans": [[r, a, {str(ag): p for ag, p in plan.steps.items()}]
                           for (r, a), plan in sorted(self.plans.items())],
@@ -555,8 +539,7 @@ class Worker:
         bodies = [body]
         got = {self.wid}
         while len(got) < len(self.worker_ids):
-            f = self.ep.take(lambda fr: fr["kind"] == "aggregate" and fr["from"] not in got,
-                             self._wait())
+            f = yield (lambda fr: fr["kind"] == "aggregate" and fr["from"] not in got)
             got.add(f["from"])
             bodies.append(f["body"])
         for b in bodies:
@@ -566,6 +549,40 @@ class Worker:
                 starts[int(ag)] = n
         paths = stitch(plans, starts)
         return WorkerResult("solved", paths=paths, rounds=rounds)
+
+
+def drive(workers: list[Worker]) -> dict[int, WorkerResult]:
+    """Step every worker in one thread, in id order, until it waits for a frame
+    its endpoint does not hold; repeat until all have ended.  Results are keyed
+    in the order the workers ended.  A pass in which no worker moves is a
+    protocol stall: the first waiting worker fails, and its abort ends the rest."""
+    order = sorted(workers, key=lambda w: w.wid)
+    steps = {w.wid: w.steps() for w in order}
+    waits: dict = {}                # wid -> predicate of the awaited frame
+    results: dict[int, WorkerResult] = {}
+    stalled = False
+    while len(results) < len(order):
+        moved, ended = False, len(results)
+        for w in order:
+            try:
+                while w.wid not in results:
+                    frame = None
+                    if w.wid in waits:
+                        if stalled:
+                            stalled = False
+                            raise RuntimeError(f"protocol stall: worker {w.wid} waits "
+                                               "for a frame no worker can send")
+                        frame = w.ep.take(waits[w.wid], w._wait())
+                        if frame is None:
+                            break
+                    waits[w.wid] = steps[w.wid].send(frame)
+                    moved = True
+            except StopIteration as stop:
+                results[w.wid] = stop.value
+            except Exception as exc:
+                results[w.wid] = w.fail(exc)
+        stalled = not moved and len(results) == ended
+    return results
 
 
 # --- in-process orchestration ----------------------------------------------
@@ -595,7 +612,7 @@ def build_workers(problem: Problem, config: RunConfig):
 
 def solve(problem: Problem, config: RunConfig | None = None,
           trace: Trace | None = None) -> SolveResult:
-    """Solve with all workers as threads over the in-process bus."""
+    """Solve with all workers stepped in this thread over the in-process bus."""
     config = config or RunConfig()
     started = time.monotonic()
     deadline = started + config.timeout
@@ -604,22 +621,9 @@ def solve(problem: Problem, config: RunConfig | None = None,
     workers = [Worker(sub.id, sub, links, area_owner, [s.id for s in subs],
                       per_worker[sub.id], config, bus.endpoint(sub.id), deadline)
                for sub in subs]
-    results: dict[int, WorkerResult] = {}
-
-    def run_one(w: Worker):
-        results[w.wid] = w.run()
-
-    threads = [threading.Thread(target=run_one, args=(w,), daemon=True) for w in workers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()) + 10.0)
-    aggregator = min(results) if results else None
-    agg = results.get(aggregator)
-    if agg is None or any(t.is_alive() for t in threads):
-        return SolveResult("timeout", "workers did not finish",
-                           elapsed=time.monotonic() - started, trace=trace)
-    bad = [r for r in results.values() if r.status != "solved"]
+    results = drive(workers)
+    agg = results[min(results)]
+    bad = [r for r in results.values() if r.status != "solved"]     # first to end first
     if bad or agg.paths is None:
         status, reason = ((bad[0].status, bad[0].reason) if bad
                           else ("failed", "no aggregate produced"))

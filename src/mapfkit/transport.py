@@ -1,9 +1,10 @@
 """Message transport for solver workers.
 
-Two implementations with the same contract: an in-process bus (queues) and a
-TCP mesh (4-byte big-endian length prefix + UTF-8 JSON frames).  Broadcasts
-deliver to every endpoint including the sender; point-to-point frames are
-buffered per receiver and consumed by predicate.
+Two implementations: an in-process bus and a TCP mesh (4-byte big-endian
+length prefix + UTF-8 JSON frames).  Broadcasts deliver to every endpoint
+including the sender; point-to-point frames are buffered per receiver and
+consumed by predicate.  A TCP `take` blocks until a frame matches; an
+in-process `take` returns None at once, since its senders share its thread.
 """
 
 from __future__ import annotations
@@ -62,23 +63,27 @@ class Inbox:
             self._items.append(frame)
             self._lock.notify_all()
 
-    def take(self, match, timeout: float) -> dict:
-        """Remove and return the first frame satisfying `match`.
+    def poll(self, match) -> dict | None:
+        """Remove and return the first frame satisfying `match`, or None;
+        AbortSignal if an abort frame is buffered."""
+        with self._lock:
+            for f in self._items:
+                if f.get("kind") == "abort":
+                    body = f.get("body", {})
+                    raise AbortSignal(body.get("reason", "abort"),
+                                      body.get("status", "failed"))
+            for i, f in enumerate(self._items):
+                if match(f):
+                    return self._items.pop(i)
+        return None
 
-        Raises AbortSignal immediately if an abort frame is buffered, and
-        TransportTimeout when nothing matches in time.
-        """
+    def take(self, match, timeout: float) -> dict:
+        """`poll`, waiting up to `timeout` s; TransportTimeout if none matches."""
         deadline = time.monotonic() + timeout
         with self._lock:
             while True:
-                for f in self._items:
-                    if f.get("kind") == "abort":
-                        body = f.get("body", {})
-                        raise AbortSignal(body.get("reason", "abort"),
-                                          body.get("status", "failed"))
-                for i, f in enumerate(self._items):
-                    if match(f):
-                        return self._items.pop(i)
+                if (f := self.poll(match)) is not None:
+                    return f
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TransportTimeout(
@@ -158,6 +163,10 @@ class InprocEndpoint(Endpoint):
     def broadcast(self, frame: dict) -> None:
         self._bus.deliver(frame)
 
+    def take(self, match, timeout: float) -> dict | None:
+        # every sender runs in this thread, so waiting here cannot help
+        return self.inbox.poll(match)
+
 
 # --- TCP mesh ---------------------------------------------------------------
 
@@ -204,10 +213,9 @@ class TcpEndpoint(Endpoint):
     """
 
     def __init__(self, wid: int, server: socket.socket,
-                 peers: dict[int, tuple[str, int]], trace: Trace | None = None):
+                 peers: dict[int, tuple[str, int]]):
         super().__init__(wid)
         self.peers = dict(peers)
-        self.trace = trace
         self._out: dict[int, socket.socket] = {}
         self._out_lock = threading.Lock()
         self._server = server
@@ -253,8 +261,6 @@ class TcpEndpoint(Endpoint):
             return sock
 
     def send(self, frame: dict) -> None:
-        if self.trace is not None:
-            self.trace.record(frame)
         to = frame["to"]
         if to == self.wid:
             self.inbox.put(frame)
@@ -262,8 +268,6 @@ class TcpEndpoint(Endpoint):
         send_tcp_frame(self._connection(to), frame)
 
     def broadcast(self, frame: dict) -> None:
-        if self.trace is not None:
-            self.trace.record(frame)
         self.inbox.put(frame)
         for wid in self.peers:
             if wid != self.wid and wid != 0:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .model import GlobalSolution, Problem, validate
 from .partition import LinkGraph, Subproblem
-from .runtime import AgentState, RunConfig, SolveResult, Worker, build_workers
+from .runtime import AgentState, RunConfig, SolveResult, Worker, build_workers, drive
 from .transport import (AbortSignal, TcpEndpoint, TransportTimeout, listen_local,
                         make_frame)
 
@@ -106,7 +106,7 @@ def main(argv: list[str]) -> int:
     deadline = time.monotonic() + bundle["timeout"]
     worker = Worker(wid, sub, links, area_owner, bundle["worker_ids"], agents,
                     config, ep, deadline)
-    res = worker.run()
+    res = drive([worker])[wid]
     if wid == min(bundle["worker_ids"]):
         body = {"status": res.status, "reason": res.reason, "rounds": res.rounds,
                 "paths": {str(a): p for a, p in (res.paths or {}).items()}}

@@ -315,8 +315,7 @@ class TestCriterion10DeterminismAndTcp:
         from mapfkit.workerproc import solve_tcp
         text = generate_instance(24, 24, 23, 0.0, seed=11, solvable=True)
         p = parse_grid(text)
-        res = solve_tcp(p, RunConfig(dx=12, dy=24, transport="tcp",
-                                     timeout=120.0))
+        res = solve_tcp(p, RunConfig(dx=12, dy=24, timeout=120.0))
         assert res.status == "solved"
         assert validate(p, res.solution).ok
         ok(10, "determinism and tcp",

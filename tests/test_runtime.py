@@ -1,5 +1,6 @@
 """Round protocol, task determination, stitching, end-to-end solves."""
 
+import threading
 import time
 
 import pytest
@@ -100,8 +101,8 @@ class TestFailureStatus:
         assert str(exc) in res.reason
 
     def test_frame_wait_past_deadline_is_timeout(self, monkeypatch):
-        # one worker plans past the deadline; the other one times out
-        # waiting for its frames and aborts the solve
+        # one worker plans past the deadline; the first worker to wait for
+        # a frame after it finds the deadline gone and aborts the solve
         real = runtime.relax_and_retry
 
         def slow(inst, h_m, deadline=None):
@@ -111,7 +112,40 @@ class TestFailureStatus:
         monkeypatch.setattr(runtime, "relax_and_retry", slow)
         res = run(TWO_WORKERS, dx=3, dy=2, timeout=1.0)
         assert res.status == "timeout"
-        assert "no matching frame" in res.reason
+        assert res.reason == "solve timeout exceeded"
+
+    def test_reason_is_the_failing_workers_own(self, monkeypatch):
+        # the last worker gives up; the others only echo its abort
+        text = generate_instance(24, 24, 23, 0.0, seed=11, solvable=True)
+        _subs, _links, area_owner, _agents = build_workers(parse_grid(text), RunConfig())
+        last = max(area_owner.values())
+        real = runtime.relax_and_retry
+
+        def fail(inst, h_m, deadline=None):
+            if area_owner[inst.area.id] == last:
+                raise SolveTimeout("movement planning deadline exceeded")
+            return real(inst, h_m, deadline)
+        monkeypatch.setattr(runtime, "relax_and_retry", fail)
+        res = run(text)
+        assert res.status == "timeout"
+        assert res.reason == "movement planning deadline exceeded"
+
+    def test_protocol_stall_fails_at_once(self, monkeypatch):
+        # the last worker waits for a negotiate request that no one sends
+        real = runtime.determine_tasks
+
+        def confused(track, area_owner):
+            active, send, recv, local, touched = real(track, area_owner)
+            last = max(track)
+            active.add(last)
+            recv.setdefault(last, []).append((0, 0))
+            return active, send, recv, local, touched
+        monkeypatch.setattr(runtime, "determine_tasks", confused)
+        t0 = time.monotonic()
+        res = run(TWO_WORKERS, dx=3, dy=2)
+        assert res.status == "failed"
+        assert "protocol stall" in res.reason
+        assert time.monotonic() - t0 < 1.0
 
     def test_crowded_instance_times_out(self):
         text = generate_instance(24, 24, 120, 0.0, seed=11, solvable=True)
@@ -122,7 +156,7 @@ class TestFailureStatus:
 
     def test_tcp_result_frame_carries_status(self):
         res = workerproc.solve_tcp(parse_grid(UNREACHABLE),
-                                   RunConfig(dx=2, dy=4, transport="tcp", timeout=60.0))
+                                   RunConfig(dx=2, dy=4, timeout=60.0))
         assert res.status == "unsolvable"
         assert "unreachable" in res.reason
 
@@ -144,7 +178,7 @@ class TestElapsed:
     def test_tcp_includes_validation(self, monkeypatch):
         self.slow_validate(monkeypatch, workerproc)
         res = workerproc.solve_tcp(parse_grid(TWO_WORKERS),
-                                   RunConfig(dx=3, dy=2, transport="tcp", timeout=60.0))
+                                   RunConfig(dx=3, dy=2, timeout=60.0))
         assert res.status == "solved" and res.elapsed >= 0.3
 
 
@@ -196,6 +230,16 @@ class TestSolveEndToEnd:
         b = solve(parse_grid(text), RunConfig(dx=4, dy=4, timeout=120.0))
         assert a.status == b.status == "solved"
         assert a.solution.paths == b.solution.paths
+
+    def test_inproc_solve_starts_no_thread(self, monkeypatch):
+        # 36 workers, all stepped in the calling thread
+        def refuse(thread):
+            raise RuntimeError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        text = generate_instance(48, 48, 92, 0.0, seed=11, solvable=True)
+        res = run(text)
+        assert res.status == "solved"
+        assert validate(parse_grid(text), res.solution).ok
 
     def test_wide_tiles_46_agents(self):
         # two 12x24 tiles share one 24-pair border, so each negotiation is
