@@ -3,17 +3,19 @@
 Two implementations: an in-process bus and a TCP mesh (4-byte big-endian
 length prefix + UTF-8 JSON frames).  Broadcasts deliver to every endpoint
 including the sender; point-to-point frames are buffered per receiver and
-consumed by predicate.  A TCP `take` blocks until a frame matches; an
-in-process `take` returns None at once, since its senders share its thread.
+consumed by predicate.  An in-process `take` returns None at once, since its
+senders share its thread.  A TCP endpoint runs in its process's one thread:
+it reads its sockets only while a `take` waits for a matching frame, and
+sends block until the kernel has buffered the frame.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import selectors
 import socket
 import struct
-import threading
 import time
 
 
@@ -32,20 +34,18 @@ class AbortSignal(RuntimeError):
 
 
 class Trace:
-    """Thread-safe record of every frame, for protocol assertions."""
+    """Record of every frame, for protocol assertions."""
 
     def __init__(self, path: str | None = None):
-        self._lock = threading.Lock()
         self.frames: list[dict] = []
         self._path = path
         self._fh = open(path, "w") if path else None
 
     def record(self, frame: dict) -> None:
-        with self._lock:
-            self.frames.append(frame)
-            if self._fh:
-                self._fh.write(json.dumps(frame, sort_keys=True) + "\n")
-                self._fh.flush()
+        self.frames.append(frame)
+        if self._fh:
+            self._fh.write(json.dumps(frame, sort_keys=True) + "\n")
+            self._fh.flush()
 
     def close(self):
         if self._fh:
@@ -54,42 +54,40 @@ class Trace:
 
 
 class Inbox:
-    def __init__(self):
-        self._lock = threading.Condition()
+    """Buffered frames of one endpoint.  `fill(timeout)`, if given, waits up
+    to `timeout` s for more frames and puts them here."""
+
+    def __init__(self, fill=None):
+        self._fill = fill
         self._items: list[dict] = []
 
     def put(self, frame: dict) -> None:
-        with self._lock:
-            self._items.append(frame)
-            self._lock.notify_all()
+        self._items.append(frame)
 
     def poll(self, match) -> dict | None:
         """Remove and return the first frame satisfying `match`, or None;
         AbortSignal if an abort frame is buffered."""
-        with self._lock:
-            for f in self._items:
-                if f.get("kind") == "abort":
-                    body = f.get("body", {})
-                    raise AbortSignal(body.get("reason", "abort"),
-                                      body.get("status", "failed"))
-            for i, f in enumerate(self._items):
-                if match(f):
-                    return self._items.pop(i)
+        for f in self._items:
+            if f.get("kind") == "abort":
+                body = f.get("body", {})
+                raise AbortSignal(body.get("reason", "abort"),
+                                  body.get("status", "failed"))
+        for i, f in enumerate(self._items):
+            if match(f):
+                return self._items.pop(i)
         return None
 
     def take(self, match, timeout: float) -> dict:
-        """`poll`, waiting up to `timeout` s; TransportTimeout if none matches."""
+        """`poll`, filling for up to `timeout` s; TransportTimeout if none matches."""
         deadline = time.monotonic() + timeout
-        with self._lock:
-            while True:
-                if (f := self.poll(match)) is not None:
-                    return f
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportTimeout(
-                        f"no matching frame within {timeout:.1f}s "
-                        f"(buffered: {[(f.get('kind'), f.get('phase'), f.get('round')) for f in self._items]})")
-                self._lock.wait(remaining)
+        while (f := self.poll(match)) is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or self._fill is None:
+                raise TransportTimeout(
+                    f"no matching frame within {timeout:.1f}s "
+                    f"(buffered: {[(f.get('kind'), f.get('phase'), f.get('round')) for f in self._items]})")
+            self._fill(remaining)
+        return f
 
 
 def make_frame(kind: str, sender: int, to: int | None, round_no: int,
@@ -108,9 +106,9 @@ def make_frame(kind: str, sender: int, to: int | None, round_no: int,
 class Endpoint:
     """Base endpoint: send/broadcast plus an inbox."""
 
-    def __init__(self, wid: int):
+    def __init__(self, wid: int, fill=None):
         self.wid = wid
-        self.inbox = Inbox()
+        self.inbox = Inbox(fill)
         self._ids = itertools.count(1)
 
     def next_msg_id(self) -> int:
@@ -175,33 +173,14 @@ def send_tcp_frame(sock: socket.socket, frame: dict) -> None:
     sock.sendall(struct.pack(">I", len(data)) + data)
 
 
-def recv_tcp_frame(sock: socket.socket) -> dict | None:
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    data = _recv_exact(sock, length)
-    if data is None:
-        return None
-    return json.loads(data.decode("utf-8"))
-
-
-def listen_local() -> socket.socket:
-    """A TCP socket listening on a free loopback port."""
+def listen_local(backlog: int) -> socket.socket:
+    """A TCP socket listening on a free loopback port.  A peer's connection
+    waits in the backlog until the owner next takes, so `backlog` should be
+    the number of endpoints that may connect."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.bind(("127.0.0.1", 0))
-    server.listen(64)
+    server.listen(backlog)
     return server
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
 
 
 class TcpEndpoint(Endpoint):
@@ -210,55 +189,59 @@ class TcpEndpoint(Endpoint):
     `server` is a socket that is already bound and listening, so a peer's
     address is fixed before any process starts.  `peers` maps worker ids
     (and id 0 for the coordinating parent) to (host, port) addresses.
+    Inbound sockets are read, and new peers accepted, only inside `take`.
     """
 
     def __init__(self, wid: int, server: socket.socket,
                  peers: dict[int, tuple[str, int]]):
-        super().__init__(wid)
+        super().__init__(wid, self._fill)
         self.peers = dict(peers)
         self._out: dict[int, socket.socket] = {}
-        self._out_lock = threading.Lock()
         self._server = server
-        self._closing = False
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        server.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(server, selectors.EVENT_READ)
 
-    def _accept_loop(self):
-        while not self._closing:
+    def _fill(self, timeout: float) -> None:
+        """Wait up to `timeout` s for the sockets; accept new peers and buffer
+        every complete frame.  A socket at EOF or error is closed."""
+        for key, _ in self._sel.select(timeout):
+            sock = key.fileobj
+            if sock is self._server:
+                try:
+                    conn, _ = sock.accept()
+                except OSError:
+                    continue
+                self._sel.register(conn, selectors.EVENT_READ, bytearray())
+                continue
             try:
-                conn, _ = self._server.accept()
+                chunk = sock.recv(1 << 16)
             except OSError:
-                return
-            threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
-
-    def _read_loop(self, conn: socket.socket):
-        try:
-            while True:
-                frame = recv_tcp_frame(conn)
-                if frame is None:
-                    return
-                self.inbox.put(frame)
-        except OSError:
-            return
+                chunk = b""
+            if not chunk:
+                self._sel.unregister(sock)
+                sock.close()
+                continue
+            buf = key.data
+            buf += chunk
+            while len(buf) >= 4:
+                (length,) = struct.unpack_from(">I", buf)
+                if len(buf) < 4 + length:
+                    break
+                self.inbox.put(json.loads(buf[4:4 + length].decode("utf-8")))
+                del buf[:4 + length]
 
     def _connection(self, wid: int) -> socket.socket:
-        with self._out_lock:
-            sock = self._out.get(wid)
-            if sock is not None:
-                return sock
+        sock = self._out.get(wid)
+        if sock is None:
             host, port = self.peers[wid]
-            last = None
-            for _ in range(100):        # peers may still be starting up
-                try:
-                    sock = socket.create_connection((host, port), timeout=5.0)
-                    break
-                except OSError as exc:
-                    last = exc
-                    time.sleep(0.1)
-            else:
-                raise TransportTimeout(f"cannot reach worker {wid} at {host}:{port}: {last}")
+            try:
+                sock = socket.create_connection((host, port), timeout=5.0)
+            except OSError as exc:
+                raise TransportTimeout(
+                    f"cannot reach worker {wid} at {host}:{port}: {exc}") from exc
             self._out[wid] = sock
-            return sock
+        return sock
 
     def send(self, frame: dict) -> None:
         to = frame["to"]
@@ -274,15 +257,9 @@ class TcpEndpoint(Endpoint):
                 send_tcp_frame(self._connection(wid), frame)
 
     def close(self) -> None:
-        self._closing = True
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        with self._out_lock:
-            for sock in self._out.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._out.clear()
+        for key in list(self._sel.get_map().values()):
+            key.fileobj.close()
+        self._sel.close()
+        for sock in self._out.values():
+            sock.close()
+        self._out.clear()

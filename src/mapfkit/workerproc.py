@@ -26,8 +26,11 @@ def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
     started = time.monotonic()
     subs, links, area_owner, per_worker = build_workers(problem, config)
     # every listening socket is bound here and handed to its worker, so no
-    # port is free between being chosen and being bound
-    servers = {wid: listen_local() for wid in [0] + [sub.id for sub in subs]}
+    # port is free between being chosen and being bound; a connection waits
+    # in the backlog until its owner first takes, so each backlog holds one
+    # connection per endpoint
+    wids = [0] + [sub.id for sub in subs]
+    servers = {wid: listen_local(len(wids)) for wid in wids}
     addrs = {wid: server.getsockname() for wid, server in servers.items()}
     parent = TcpEndpoint(0, servers[0], addrs)
     procs = []
@@ -47,7 +50,6 @@ def solve_tcp(problem: Problem, config: RunConfig) -> SolveResult:
                     "config": config.to_dict(),
                     "peers": {str(w): list(addr) for w, addr in addrs.items()},
                     "listen_fd": servers[sub.id].fileno(),
-                    "timeout": config.timeout,
                 }
                 path = Path(tmp) / f"worker-{sub.id}.json"
                 path.write_text(json.dumps(bundle))
@@ -103,7 +105,7 @@ def main(argv: list[str]) -> int:
     config = RunConfig.from_dict(bundle["config"])
     peers = {int(w): tuple(addr) for w, addr in bundle["peers"].items()}
     ep = TcpEndpoint(wid, socket.socket(fileno=bundle["listen_fd"]), peers)
-    deadline = time.monotonic() + bundle["timeout"]
+    deadline = time.monotonic() + config.timeout
     worker = Worker(wid, sub, links, area_owner, bundle["worker_ids"], agents,
                     config, ep, deadline)
     res = drive([worker])[wid]

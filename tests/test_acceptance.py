@@ -312,11 +312,17 @@ class TestCriterion10DeterminismAndTcp:
             assert outs[0] == outs[1], n
 
     def test_tcp_two_workers(self):
+        # 12x24 tiles run 2 worker processes, 8x8 tiles 9; both must give
+        # the in-process solution byte for byte
         from mapfkit.workerproc import solve_tcp
         text = generate_instance(24, 24, 23, 0.0, seed=11, solvable=True)
-        p = parse_grid(text)
-        res = solve_tcp(p, RunConfig(dx=12, dy=24, timeout=120.0))
-        assert res.status == "solved"
-        assert validate(p, res.solution).ok
+        for dx, dy in ((12, 24), (8, 8)):
+            p = parse_grid(text)
+            res = solve_tcp(p, RunConfig(dx=dx, dy=dy, timeout=120.0))
+            assert res.status == "solved", (dx, dy)
+            assert validate(p, res.solution).ok
+            inproc = solve(p, RunConfig(dx=dx, dy=dy, timeout=120.0))
+            assert (solution_to_json(p, res.solution)
+                    == solution_to_json(p, inproc.solution)), (dx, dy)
         ok(10, "determinism and tcp",
-           f"2 worker processes, span={res.solution.makespan}")
+           f"2 and 9 worker processes, span={res.solution.makespan}")

@@ -121,24 +121,30 @@ class TestPlanMovements:
         assert plan.length == joint_bfs(inst, 12)
 
 
-def random_instance(rng):
-    w = rng.randrange(2, 5)
-    h = rng.randrange(1, 4)
-    cells = [(x, y) for y in range(h) for x in range(w)]
-    keep = [c for c in cells if rng.random() > 0.2] or cells[:1]
-    # keep only the connected component of the first cell
-    comp = {keep[0]}
-    stack = [keep[0]]
-    keepset = set(keep)
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-            if nb in keepset and nb not in comp:
-                comp.add(nb)
-                stack.append(nb)
-    cells = sorted(comp)
-    if len(cells) > 12:
-        cells = cells[:12]
+def random_instance(rng, cells=(1, 12)):
+    """An area of `cells[0]`..`cells[1]` connected cells, cut from a grid with
+    random holes (up to 4x3; 4x3 to 6x5 for areas over 12 cells), holding
+    1-3 agents, some plan goals and some reserved nodes."""
+    lo, hi = cells
+    grow = 0 if hi <= 12 else 2
+    while True:
+        w = rng.randrange(2, 5) + grow
+        h = rng.randrange(1, 4) + grow
+        grid = [(x, y) for y in range(h) for x in range(w)]
+        keep = [c for c in grid if rng.random() > 0.2] or grid[:1]
+        # the connected component of the first cell, in discovery order
+        comp = [keep[0]]
+        stack = [keep[0]]
+        keepset = set(keep)
+        while stack:
+            x, y = stack.pop()
+            for nb in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+                if nb in keepset and nb not in comp:
+                    comp.append(nb)
+                    stack.append(nb)
+        if len(comp) >= lo:
+            break
+    cells = sorted(comp[:hi])
     area = make_area(1, cells)
     nodes = sorted(area.in_nodes)
     n_agents = rng.randrange(1, min(3, len(nodes)) + 1)
@@ -160,8 +166,10 @@ def random_instance(rng):
 class TestOracleEquivalence:
     def test_minimal_length_matches_joint_bfs(self):
         rng = random.Random(11)
-        for _ in range(60):
-            inst = random_instance(rng)
+        # areas of up to 12 cells go to the joint search, larger ones to CBS
+        for cells in [(1, 12)] * 60 + [(13, 16)] * 60:
+            inst = random_instance(rng, cells)
+            assert cells[0] <= len(inst.area.in_nodes) <= cells[1]
             h_m = horizon(len(inst.area.in_nodes), 2.0)
             expected = joint_bfs(inst, h_m)
             plan = plan_movements(inst, h_m)
